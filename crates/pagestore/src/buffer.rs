@@ -862,7 +862,7 @@ impl BufferPool {
     /// Without WAL this is [`flush_all`](Self::flush_all). With WAL it
     /// is the commit boundary: every dirty page image is streamed to
     /// the write-ahead log (begin / per-page / commit records, each
-    /// FNV-checksummed), the log is synced — the durability point —
+    /// [`checksum::hash64`]-framed), the log is synced — the durability point —
     /// then the images are written in place, the data file is synced,
     /// and the log is truncated. A crash anywhere in between recovers
     /// to exactly the pre-commit or post-commit state: before the log

@@ -354,8 +354,11 @@ impl FilePager {
     /// If the file begins with a [`superblock`](crate::superblock), the
     /// recorded page size is authoritative: opening with a different
     /// `page_size` is a typed [`Error::GeometryMismatch`] instead of
-    /// sheared page reads. Files without a superblock (raw pager files)
-    /// fall back to the length-divisibility check.
+    /// sheared page reads. A superblock of another format version is
+    /// the same typed error on `"version"`, returned before the WAL is
+    /// even opened (see [`check_prefix`](crate::superblock::check_prefix)).
+    /// Files without a superblock (raw pager files) fall back to the
+    /// length-divisibility check.
     ///
     /// [`Error::GeometryMismatch`]: boxagg_common::error::Error::GeometryMismatch
     pub fn open(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
@@ -368,15 +371,7 @@ impl FilePager {
         if len >= prefix.len() as u64 {
             file.read_exact(&mut prefix)?;
             file.seek(SeekFrom::Start(0))?;
-            if let Some(stored) = crate::superblock::peek_page_size(&prefix) {
-                if stored as usize != page_size {
-                    return Err(boxagg_common::error::Error::GeometryMismatch {
-                        what: "page_size",
-                        stored: stored as u64,
-                        requested: page_size as u64,
-                    });
-                }
-            }
+            crate::superblock::check_prefix(&prefix, page_size)?;
         }
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(

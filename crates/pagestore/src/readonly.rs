@@ -58,15 +58,7 @@ impl ReadOnlyPager {
         if len >= prefix.len() as u64 {
             file.read_exact(&mut prefix)?;
             file.seek(SeekFrom::Start(0))?;
-            if let Some(stored) = crate::superblock::peek_page_size(&prefix) {
-                if stored as usize != page_size {
-                    return Err(Error::GeometryMismatch {
-                        what: "page_size",
-                        stored: stored as u64,
-                        requested: page_size as u64,
-                    });
-                }
-            }
+            crate::superblock::check_prefix(&prefix, page_size)?;
         }
         if len % page_size as u64 != 0 {
             return Err(invalid_arg(format!(

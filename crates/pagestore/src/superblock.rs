@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"BOXAGGSB"
-//!      8     2  format version (currently 1)
+//!      8     2  format version (currently 2)
 //!     10     1  flags (bit 0: page checksums enabled)
 //!     11     1  reserved (0)
 //!     12     4  page size in bytes
@@ -24,9 +24,11 @@
 //! The first [`PREFIX_LEN`] bytes are position-stable across versions so
 //! [`FilePager::open`](crate::pager::FilePager::open) can peek geometry
 //! from the raw file prefix before any page-level machinery exists —
-//! that is what turns a wrong `page_size` into a typed
+//! that is what turns a wrong `page_size` or an old format `version`
+//! into a typed
 //! [`GeometryMismatch`](boxagg_common::error::Error::GeometryMismatch)
-//! instead of sheared reads.
+//! instead of sheared reads or a recovery that misreads the log (see
+//! [`check_prefix`]).
 //!
 //! The superblock is updated *through* the WAL like any other page
 //! (`SharedStore::set_root` marks page 0 dirty; `commit()` makes it
@@ -44,7 +46,12 @@ use crate::pager::PageId;
 pub const MAGIC: [u8; 8] = *b"BOXAGGSB";
 
 /// Current superblock format version.
-pub const VERSION: u16 = 1;
+///
+/// Covers the whole file and its WAL sidecar, not just page 0: v2
+/// changed the page-trailer and WAL-record checksum from byte-wise
+/// FNV-1a to the word-at-a-time [`hash64`](crate::checksum::hash64),
+/// so a v1 store can be neither verified nor recovered by this code.
+pub const VERSION: u16 = 2;
 
 /// Length of the position-stable prefix (magic through page size).
 pub const PREFIX_LEN: usize = 16;
@@ -59,6 +66,38 @@ pub fn peek_page_size(prefix: &[u8]) -> Option<u32> {
     let mut b = [0u8; 4];
     b.copy_from_slice(&prefix[12..16]);
     Some(u32::from_le_bytes(b))
+}
+
+/// Checks a raw file prefix against the page size a pager is being
+/// opened with, before any page is read or any WAL record replayed.
+///
+/// A prefix without the magic passes (raw pager files are
+/// legitimate). A superblock of another format version is refused
+/// first, as [`Error::GeometryMismatch`] on `"version"`: its page
+/// trailers and WAL records carry a different checksum, so recovery
+/// would take every record for a torn tail and discard committed work.
+/// A recorded page size other than `page_size` is the same error on
+/// `"page_size"`, instead of sheared page reads.
+pub fn check_prefix(prefix: &[u8], page_size: usize) -> Result<()> {
+    let Some(stored) = peek_page_size(prefix) else {
+        return Ok(());
+    };
+    let version = u16::from_le_bytes([prefix[8], prefix[9]]);
+    if version != VERSION {
+        return Err(Error::GeometryMismatch {
+            what: "version",
+            stored: version as u64,
+            requested: VERSION as u64,
+        });
+    }
+    if stored as usize != page_size {
+        return Err(Error::GeometryMismatch {
+            what: "page_size",
+            stored: stored as u64,
+            requested: page_size as u64,
+        });
+    }
+    Ok(())
 }
 
 /// What kind of index a named root points at, so `open_named` can
@@ -321,6 +360,33 @@ mod tests {
         assert_eq!(peek_page_size(&bytes[..PREFIX_LEN - 1]), None);
         assert_eq!(peek_page_size(b"not a superblock"), None);
         assert_eq!(peek_page_size(&[0u8; 64]), None);
+    }
+
+    #[test]
+    fn check_prefix_refuses_other_versions_before_page_size() {
+        let bytes = sample().encode();
+        assert!(check_prefix(&bytes, 4096).is_ok());
+        assert!(check_prefix(&[0u8; PREFIX_LEN], 4096).is_ok());
+        assert!(matches!(
+            check_prefix(&bytes, 1024),
+            Err(Error::GeometryMismatch {
+                what: "page_size",
+                stored: 4096,
+                requested: 1024,
+            })
+        ));
+        let mut v1 = bytes.clone();
+        v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+        for page_size in [4096, 1024] {
+            assert!(matches!(
+                check_prefix(&v1, page_size),
+                Err(Error::GeometryMismatch {
+                    what: "version",
+                    stored: 1,
+                    requested: 2,
+                })
+            ));
+        }
     }
 
     #[test]

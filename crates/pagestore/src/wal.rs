@@ -15,7 +15,7 @@
 //! The log is a sequence of framed records:
 //!
 //! ```text
-//! [body_len: u32][body: body_len bytes][crc: u64 = fnv1a(body)]
+//! [body_len: u32][body: body_len bytes][crc: u64 = hash64(body)]
 //! ```
 //!
 //! with three body shapes, distinguished by the first byte:
@@ -48,7 +48,7 @@
 use boxagg_common::bytes::{ByteReader, ByteWriter};
 use boxagg_common::error::{Error, Result};
 
-use crate::checksum::fnv1a_64;
+use crate::checksum::hash64;
 use crate::pager::{PageId, Pager};
 
 const TAG_BEGIN: u8 = 1;
@@ -90,7 +90,7 @@ fn frame(body: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(body.len() + 12);
     w.put_u32(body.len() as u32);
     w.put_bytes(body);
-    w.put_u64(fnv1a_64(body));
+    w.put_u64(hash64(body));
     w.into_vec()
 }
 
@@ -160,7 +160,7 @@ pub(crate) fn decode_records(log: &[u8], page_size: usize) -> Result<ParsedLog> 
         let body = &rest[4..4 + body_len];
         let mut crc_bytes = [0u8; 8];
         crc_bytes.copy_from_slice(&rest[4 + body_len..4 + body_len + 8]);
-        if fnv1a_64(body) != u64::from_le_bytes(crc_bytes) {
+        if hash64(body) != u64::from_le_bytes(crc_bytes) {
             out.torn_tail = true;
             break;
         }

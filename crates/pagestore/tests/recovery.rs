@@ -6,11 +6,13 @@
 //! root (`tests/crash_sweep.rs`); these tests pin the recovery
 //! machinery itself.
 
+use boxagg_common::error::Error;
 use boxagg_common::tempdir;
 use boxagg_pagestore::fault::{is_injected, FaultMode, OpKind};
 use boxagg_pagestore::pager::wal_path;
 use boxagg_pagestore::{
-    wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, SharedStore, StoreConfig,
+    superblock, wal, Backing, FaultPager, FaultSpec, FilePager, OpFilter, PageId, SharedStore,
+    StoreConfig,
 };
 
 const PAGE: usize = 256;
@@ -307,4 +309,46 @@ fn failed_append_during_retry_keeps_log_decodable() {
         assert_eq!(recovered.with_page(id, |d| d[0]).unwrap(), want);
     }
     recovered.validate().unwrap();
+}
+
+#[test]
+fn old_format_store_is_refused_before_recovery_touches_it() {
+    // A committed but not yet applied transaction in the log, under a
+    // page 0 that claims format version 1. An older version's WAL
+    // records carry another checksum: recovery would read them all as a
+    // torn tail and truncate the log, silently dropping the commit.
+    let dir = tempdir::tempdir().unwrap();
+    let path = dir.path().join("pages.db");
+    leave_pending_txn(&path);
+    let mut data = std::fs::read(&path).unwrap();
+    assert_eq!(&data[..8], &superblock::MAGIC);
+    data[8..10].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&path, &data).unwrap();
+    let log = std::fs::read(wal_path(&path)).unwrap();
+    assert!(!log.is_empty());
+
+    let refused = |err: Error| {
+        assert!(
+            matches!(
+                err,
+                Error::GeometryMismatch {
+                    what: "version",
+                    stored: 1,
+                    requested: 2,
+                }
+            ),
+            "got: {err}"
+        );
+    };
+    let cfg = wal_config(path.clone());
+    refused(FilePager::open(&path, PAGE).err().unwrap());
+    refused(SharedStore::open(&cfg).err().unwrap());
+    refused(SharedStore::open_readonly(&cfg).err().unwrap());
+
+    assert_eq!(std::fs::read(&path).unwrap(), data, "data file untouched");
+    assert_eq!(
+        std::fs::read(wal_path(&path)).unwrap(),
+        log,
+        "WAL untouched"
+    );
 }

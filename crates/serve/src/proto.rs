@@ -9,11 +9,12 @@
 //! [body_len: u32 LE] [body: body_len bytes] [crc: u64 LE]
 //! ```
 //!
-//! with `crc = fnv1a_64(body)` — the same checksum the page trailers
-//! and the WAL use, so one hash function covers every byte this
-//! workspace persists or transmits. The body starts with a tag byte;
-//! request tags live below 16, response tags at 16 and above, so the
-//! two directions cannot be confused.
+//! with `crc = hash64(body)` (`boxagg_pagestore::checksum::hash64`) —
+//! the same checksum the page trailers and the WAL use, so one hash
+//! function covers every byte this workspace persists or transmits.
+//! The body starts with a tag byte; request tags live below 16,
+//! response tags at 16 and above, so the two directions cannot be
+//! confused.
 //!
 //! **v2**: every request body carries a deadline right after the tag
 //! (`[tag u8][deadline_ms u32][payload]`, `0` = none); writes carry a
@@ -21,6 +22,11 @@
 //! buffered ops) so a commit retried across a reconnect or server
 //! restart applies exactly once; error frames carry a retry-after hint
 //! so [`code::OVERLOADED`] rejections can steer client backoff.
+//!
+//! **v3**: the frame checksum is the word-at-a-time `hash64` in place
+//! of v2's byte-wise FNV-1a; bodies are unchanged. A v2 peer therefore
+//! fails on the first frame's checksum, as a protocol error, before it
+//! could read the [`Hello`] version.
 //!
 //! Failure taxonomy mirrors the WAL's: a cleanly closed connection at a
 //! frame boundary is EOF (like a truncated-but-valid log tail), while a
@@ -33,11 +39,11 @@ use std::io::{Read, Write};
 
 use boxagg_common::error::{invalid_arg, Error, Result};
 use boxagg_common::geom::{Point, Rect, MAX_DIM};
-use boxagg_pagestore::checksum::fnv1a_64;
+use boxagg_pagestore::checksum::hash64;
 
 /// Protocol version carried in the [`Hello`] frame. Bump on any wire
 /// change.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Hard cap on a frame body. The largest legitimate message is a
 /// [`Hello`] with `MAX_DIM` bounds (a few hundred bytes); the cap only
@@ -206,12 +212,12 @@ pub enum Response {
 // Frame layer
 // ---------------------------------------------------------------------
 
-/// Wraps `body` into a `[len][body][fnv1a_64]` frame.
+/// Wraps `body` into a `[len][body][hash64]` frame.
 pub fn frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + body.len() + 8);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(body);
-    out.extend_from_slice(&fnv1a_64(body).to_le_bytes());
+    out.extend_from_slice(&hash64(body).to_le_bytes());
     out
 }
 
@@ -258,7 +264,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     r.read_exact(&mut crc_buf)
         .map_err(|_| invalid_arg("connection closed before the frame checksum"))?;
     let stored = u64::from_le_bytes(crc_buf);
-    let computed = fnv1a_64(&body);
+    let computed = hash64(&body);
     if stored != computed {
         return Err(invalid_arg(format!(
             "frame checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
