@@ -190,7 +190,11 @@ impl<V: AggValue> BATree<V> {
         Self::open_entry(snap.store().clone(), name, entry)
     }
 
-    fn open_entry(store: SharedStore, name: &str, entry: RootEntry) -> Result<Self> {
+    /// Reopens the tree a catalog `entry` (published under `name` by
+    /// [`persist_as`](Self::persist_as)) describes — for callers that
+    /// already hold the catalog, e.g. one decoded
+    /// [`StoreSnapshot::superblock`] serving several roots.
+    pub fn open_entry(store: SharedStore, name: &str, entry: RootEntry) -> Result<Self> {
         if entry.kind != RootKind::BaTree {
             return Err(invalid_arg(format!(
                 "root {name:?} is a {:?}, not a BA-tree",
@@ -538,7 +542,7 @@ mod tests {
     fn cached_nodes_reflect_same_leaf_updates() {
         // Decoded-node cache invalidation, end to end: query a leaf so
         // its decode is cached, insert into that same leaf (the write
-        // bumps the page generation), and the next query must see the
+        // gives the page a new version), and the next query must see the
         // new point — a stale cached decode would drop it.
         let mut t = small_tree(2, 512);
         t.insert(Point::new(&[0.4, 0.4]), 1.0).unwrap();
@@ -561,7 +565,7 @@ mod tests {
         assert!(st.decode_hits > 0, "warm queries hit the decoded cache");
         assert!(
             st.decode_invalidations > 0,
-            "leaf writes must bump the generation"
+            "leaf writes must drop the stale decode"
         );
     }
 

@@ -12,10 +12,11 @@
 //!    the server, not hidden by a closed loop.
 //! 2. **Batched run.** Same clients, same seeded schedules and
 //!    queries, with the admission window on. Every answer must be
-//!    **bit-identical** to phase 1 and to a local serial evaluation;
-//!    the decoded-nodes-per-query ratio must drop strictly below the
-//!    unbatched run's, because grouped queries share one memoized
-//!    snapshot traversal of the upper index levels.
+//!    **bit-identical** to phase 1 and to a local serial evaluation.
+//!    Both runs read through the store's one decoded-node cache, and no
+//!    commit lands before the soak: when the cache holds the index
+//!    (always under `--smoke`), the serial evaluation decodes each page
+//!    at most once and neither served run decodes at all.
 //! 3. **Soak.** ≥ 32 concurrent connections, three quarters issuing
 //!    reads and a quarter buffering inserts/deletes and committing.
 //!    Must finish with zero protocol errors and a clean `validate()`;
@@ -270,14 +271,25 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // Ground truth: every query evaluated serially on a plain snapshot.
+    // Ground truth: every query evaluated serially on a snapshot of its
+    // own.
     let mut expected = Vec::with_capacity(total_queries);
-    let mut serial_decodes = 0u64;
+    let (mut serial_accesses, mut serial_decodes) = (0u64, 0u64);
     for q in queries.iter() {
         let engine = SnapshotBoxSum::open(store.snapshot().expect("snapshot")).expect("open");
         expected.push(engine.query(q).expect("serial query").to_bits());
-        serial_decodes += engine.snapshot().node_reads().1;
+        let (accesses, decodes) = engine.snapshot().node_reads();
+        serial_accesses += accesses;
+        serial_decodes += decodes;
     }
+    // With no eviction from the node cache, a decode happens once per
+    // page image; without a commit, once per page.
+    let cache_holds_index = store.live_pages() <= args.store_config().node_cache_pages as u64;
+    assert!(
+        cache_holds_index || !args.smoke,
+        "the smoke run's node cache must hold the index ({} pages)",
+        store.live_pages()
+    );
 
     let off = load_phase(
         &store,
@@ -305,18 +317,31 @@ fn main() {
     assert_eq!(on.stats.queries, total_queries as u64);
     assert_eq!(off.stats.protocol_errors, 0);
     assert_eq!(on.stats.protocol_errors, 0);
-    assert!(
-        off.stats.node_decodes == serial_decodes,
-        "a zero window must execute exactly the serial decode schedule \
-         ({} vs {serial_decodes})",
-        off.stats.node_decodes
-    );
-    assert!(
-        on.stats.node_decodes < off.stats.node_decodes,
-        "batched admission must decode strictly fewer nodes: {} vs {}",
-        on.stats.node_decodes,
-        off.stats.node_decodes
-    );
+    for (mode, r) in [("unbatched", &off), ("batched", &on)] {
+        assert_eq!(
+            r.stats.node_accesses, serial_accesses,
+            "{mode} run must read exactly the serial traversals' nodes"
+        );
+        if cache_holds_index {
+            assert_eq!(
+                r.stats.node_decodes, 0,
+                "{mode} run decoded pages the serial run had cached"
+            );
+        }
+    }
+    if cache_holds_index {
+        assert!(
+            serial_decodes <= store.live_pages(),
+            "serial run decoded {serial_decodes} times for {} pages",
+            store.live_pages()
+        );
+    } else {
+        println!(
+            "note: the {}-node cache is smaller than the {}-page index; decode bounds not checked",
+            args.store_config().node_cache_pages,
+            store.live_pages()
+        );
+    }
 
     let soak_report = soak(
         &store,
@@ -364,11 +389,11 @@ fn main() {
         &[row("unbatched", &off), row("batched", &on)],
     );
     println!(
-        "answers bit-identical across serial / unbatched / batched; \
-         decodes per query {:.1} -> {:.1} ({:.2}x)",
+        "answers bit-identical across serial / unbatched / batched; decodes per query: \
+         serial {:.2} (cold cache), unbatched {:.2}, batched {:.2}",
+        serial_decodes as f64 / total_queries as f64,
         dpq(&off.stats),
         dpq(&on.stats),
-        dpq(&off.stats) / dpq(&on.stats).max(1e-9),
     );
     println!(
         "soak: {} connections, {} reads + {} writes, {} client commits in {} WAL rounds, \

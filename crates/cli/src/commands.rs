@@ -273,7 +273,6 @@ pub fn serve(
         listen,
         ServeConfig {
             batch_window,
-            max_batch: 64,
             threads,
             read_deadline: if read_deadline_ms == 0 {
                 defaults.read_deadline

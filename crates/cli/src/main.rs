@@ -72,17 +72,18 @@ fn run() -> Result<String, String> {
         "info" => commands::info(&index),
         "serve" => {
             let listen = flag(&args, "--listen").ok_or("serve needs --listen HOST:PORT")?;
+            let defaults = boxagg_serve::ServeConfig::default();
             let window_us = match flag(&args, "--batch-window-us") {
                 Some(w) => w
                     .parse::<u64>()
                     .map_err(|e| format!("bad --batch-window-us: {e}"))?,
-                None => 200,
+                None => defaults.batch_window.as_micros() as u64,
             };
             let threads = match flag(&args, "--threads") {
                 Some(t) => t
                     .parse::<usize>()
                     .map_err(|e| format!("bad --threads: {e}"))?,
-                None => 48,
+                None => defaults.threads,
             };
             // Robustness knobs; 0 (the default) keeps ServeConfig's default.
             let numeric = |name: &str| -> Result<u64, String> {

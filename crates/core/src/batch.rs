@@ -52,8 +52,13 @@ impl SnapshotBoxSum {
     /// `snap`'s epoch. Fails with a typed error when the catalog has no
     /// [`OBJECTS_ROOT`] entry (no engine was ever persisted) or a
     /// corner tree is missing.
+    ///
+    /// The catalog is read and decoded once, from the pinned epoch's
+    /// page 0, for the meta entry and every corner root.
     pub fn open(snap: StoreSnapshot) -> Result<Self> {
-        let meta = snap.root(OBJECTS_ROOT)?.ok_or_else(|| {
+        let catalog = snap.superblock()?;
+        let root = |name: &str| catalog.as_ref().and_then(|sb| sb.root(name)).cloned();
+        let meta = root(OBJECTS_ROOT).ok_or_else(|| {
             invalid_arg(format!(
                 "no {OBJECTS_ROOT:?} entry in the store catalog at epoch {}: \
                  the store holds no persisted box-sum engine",
@@ -69,7 +74,14 @@ impl SnapshotBoxSum {
         let bounds = Rect::from_bounds(&meta.bounds);
         let mut trees = Vec::with_capacity(1 << dim);
         for mask in 0..(1usize << dim) {
-            trees.push(BATree::open_named_at(&snap, &corner_root_name(mask))?);
+            let name = corner_root_name(mask);
+            let entry = root(&name).ok_or_else(|| {
+                invalid_arg(format!(
+                    "no root named {name:?} in the store catalog at epoch {}",
+                    snap.epoch()
+                ))
+            })?;
+            trees.push(BATree::open_entry(snap.store().clone(), &name, entry)?);
         }
         Ok(Self {
             snap,
@@ -362,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_snapshot_shares_index_levels_across_a_batch() {
+    fn snapshot_engines_share_the_node_cache_across_queries() {
         let store = wal_store();
         let space = unit_space(2);
         let mut live = SimpleBoxSum::batree_in(space, store.clone()).unwrap();
@@ -375,33 +387,43 @@ mod tests {
         store.commit().unwrap();
 
         let queries: Vec<Rect> = (0..16).map(|_| rand_rect(&mut s, 2, 0.4)).collect();
-
-        // Serial baseline: one plain snapshot per query.
-        let mut serial_answers = Vec::new();
-        let mut serial_decodes = 0u64;
-        for q in &queries {
-            let eng = SnapshotBoxSum::open(store.snapshot().unwrap()).unwrap();
-            serial_answers.push(eng.query(q).unwrap());
-            let (accesses, decodes) = eng.snapshot().node_reads();
-            assert_eq!(accesses, decodes, "plain snapshots decode every access");
-            serial_decodes += decodes;
-        }
-
-        // Batched: one memoized snapshot executes the whole batch.
-        let eng = SnapshotBoxSum::open(store.snapshot_memoized().unwrap()).unwrap();
-        let batched_answers: Vec<f64> = queries.iter().map(|q| eng.query(q).unwrap()).collect();
-        let (accesses, decodes) = eng.snapshot().node_reads();
-
-        for (a, b) in serial_answers.iter().zip(&batched_answers) {
-            assert_eq!(a.to_bits(), b.to_bits(), "batching must be invisible");
-        }
+        // One snapshot per query, as an unbatched server runs them.
+        let serial = || {
+            let (mut answers, mut accesses, mut decodes) = (Vec::new(), 0, 0);
+            for q in &queries {
+                let eng = SnapshotBoxSum::open(store.snapshot().unwrap()).unwrap();
+                answers.push(eng.query(q).unwrap().to_bits());
+                let (a, d) = eng.snapshot().node_reads();
+                accesses += a;
+                decodes += d;
+            }
+            (answers, accesses, decodes)
+        };
+        let (cold_answers, cold_accesses, cold_decodes) = serial();
+        // With no commits, every page is decoded at most once: queries
+        // share the upper index levels through the one cache.
         assert!(
-            decodes < accesses,
-            "memo never hit: {decodes} decodes for {accesses} accesses"
+            cold_decodes <= store.live_pages(),
+            "{cold_decodes} decodes for {} pages",
+            store.live_pages()
         );
         assert!(
-            decodes < serial_decodes,
-            "batched decodes ({decodes}) not below serial ({serial_decodes})"
+            cold_decodes < cold_accesses,
+            "queries never shared a decode: {cold_decodes} of {cold_accesses}"
         );
+        // The same queries again, on fresh snapshots: all hits.
+        let (warm_answers, warm_accesses, warm_decodes) = serial();
+        assert_eq!(warm_answers, cold_answers);
+        assert_eq!((warm_accesses, warm_decodes), (cold_accesses, 0));
+
+        // One snapshot executing the whole batch: same traversal, same
+        // answers, no decodes.
+        let eng = SnapshotBoxSum::open(store.snapshot().unwrap()).unwrap();
+        let batched: Vec<u64> = queries
+            .iter()
+            .map(|q| eng.query(q).unwrap().to_bits())
+            .collect();
+        assert_eq!(batched, cold_answers, "batching must be invisible");
+        assert_eq!(eng.snapshot().node_reads(), (cold_accesses, 0));
     }
 }

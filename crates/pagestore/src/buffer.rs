@@ -162,24 +162,82 @@ struct Frame {
     id: PageId,
     data: Box<[u8]>,
     dirty: bool,
-    /// Global mutation stamp of the last `write_page` into this frame
-    /// (from the pool-wide counter, so it is unique across the pool's
-    /// lifetime). A commit captures the stamp alongside the image and
-    /// un-dirties the frame only if the stamp still matches — a page
-    /// freed and re-allocated mid-commit gets a fresh stamp and can
-    /// never be mistaken for the captured incarnation, even if its
-    /// bytes happen to coincide.
+    /// Version of `data`: the global mutation stamp of the last
+    /// `write_page` into this frame (from the pool-wide counter, so it
+    /// is unique across the pool's lifetime), or the on-disk image's
+    /// version when the frame was fetched (see [`Disk::versions`]). A
+    /// commit captures the stamp alongside the image and un-dirties the
+    /// frame only if the stamp still matches — a page freed and
+    /// re-allocated mid-commit gets a fresh stamp and can never be
+    /// mistaken for the captured incarnation, even if its bytes happen
+    /// to coincide. The decoded-node cache keys its entries by it.
     seq: u64,
     /// The page's committed image, retained while the frame is dirty
     /// so snapshot readers (and epoch-flip retention) can serve the
     /// pre-transaction bytes without touching disk. Invariants:
-    /// `base.is_some()` implies `dirty`; a dirty frame with no base
-    /// has never been committed from the buffer — its committed image
-    /// (if any) is on disk, where no-steal guarantees it stays until
-    /// the next commit applies over it.
-    base: Option<Box<[u8]>>,
+    /// `base.is_some()` implies `dirty`, and `base.seq <= seq`; a dirty
+    /// frame with no base has never been committed from the buffer —
+    /// its committed image (if any) is on disk, where no-steal
+    /// guarantees it stays until the next commit applies over it.
+    base: Option<Image>,
     prev: usize,
     next: usize,
+}
+
+/// A page image and its version (the mutation stamp of the write that
+/// produced it; see [`Frame::seq`]).
+#[derive(Debug)]
+struct Image {
+    seq: u64,
+    data: Box<[u8]>,
+}
+
+/// Identity of the page image a node read is served: the key the
+/// decoded-node cache ([`crate::nodecache`]) files decodes under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Version {
+    /// Mutation stamp of the write that produced the image, or 0 for
+    /// the image the pager held when the pool was opened. Stamps are
+    /// unique across the pool's lifetime and travel with the image —
+    /// into a frame's committed base, a retained version, the data
+    /// file — so two reads of one page that report the same stamp saw
+    /// identical bytes.
+    pub seq: u64,
+    /// Whether the image is committed: what some commit epoch shows its
+    /// snapshot readers, rather than a write no commit has covered yet.
+    /// Always `false` on a pool without WAL, which has no epochs.
+    pub committed: bool,
+}
+
+/// The pager, with the version of every page image it holds.
+struct Disk {
+    pager: Box<dyn Pager>,
+    /// Version of each page's on-disk image, updated under the pager
+    /// lock together with the bytes it describes. Absent means 0: the
+    /// image the pager held when the pool opened it (for a page grown
+    /// later, its initial zeros).
+    versions: HashMap<PageId, u64>,
+}
+
+impl Disk {
+    /// Reads page `id` into `buf` and returns the read image's version.
+    fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<u64> {
+        self.pager.read_page(id, buf)?;
+        Ok(self.versions.get(&id).copied().unwrap_or(0))
+    }
+
+    /// Writes `data`, the image of version `seq`, over page `id`. A
+    /// failed write may have left torn bytes of no known version; they
+    /// get a fresh stamp from `stamps`, which no other image carries.
+    fn write(&mut self, id: PageId, data: &[u8], seq: u64, stamps: &AtomicU64) -> Result<()> {
+        let res = self.pager.write_page(id, data);
+        let version = match res {
+            Ok(()) => seq,
+            Err(_) => stamps.fetch_add(1, Ordering::SeqCst) + 1,
+        };
+        self.versions.insert(id, version);
+        res
+    }
 }
 
 /// One independent LRU list over a slice of the page-id space.
@@ -266,7 +324,7 @@ impl Shard {
 /// [`SharedStore`](crate::store::SharedStore), which wraps the pool in an
 /// [`Arc`](std::sync::Arc).
 pub struct BufferPool {
-    pager: RankedMutex<Box<dyn Pager>>,
+    pager: RankedMutex<Disk>,
     page_size: usize,
     /// `page_size - checksum::TRAILER`: the bytes callers may use.
     payload: usize,
@@ -306,7 +364,8 @@ pub struct BufferPool {
     /// and the commit flip serialize — a pin can never capture an epoch
     /// whose retention pass already ran.
     snapshots: RankedMutex<SnapshotTable>,
-    /// Pool-wide mutation stamp source (see [`Frame::seq`]).
+    /// Pool-wide mutation stamp source (see [`Frame::seq`]). Every
+    /// `write_page` takes a fresh stamp, on WAL and plain pools alike.
     seq: AtomicU64,
     /// Highest mutation stamp covered by a durable commit: every write
     /// stamped at or below it has reached the synced log (or the synced
@@ -338,7 +397,7 @@ pub struct BufferPool {
 #[derive(Debug)]
 struct PageVersion {
     superseded_at: u64,
-    data: Box<[u8]>,
+    image: Image,
 }
 
 /// Commit-epoch bookkeeping behind the pool's snapshot lock.
@@ -469,7 +528,14 @@ impl BufferPool {
             None
         };
         Self {
-            pager: RankedMutex::new(rank::PAGER, "pager", pager),
+            pager: RankedMutex::new(
+                rank::PAGER,
+                "pager",
+                Disk {
+                    pager,
+                    versions: HashMap::new(),
+                },
+            ),
             page_size,
             payload,
             checksums,
@@ -549,7 +615,7 @@ impl BufferPool {
 
     /// Total pages allocated in the underlying pager (index size metric).
     pub fn allocated_pages(&self) -> u64 {
-        self.pager.acquire().num_pages()
+        self.pager.acquire().pager.num_pages()
     }
 
     /// Buffer capacity in pages (summed across shards).
@@ -619,7 +685,7 @@ impl BufferPool {
             alloc.freed.remove(&id);
             return Ok(id);
         }
-        self.pager.acquire().allocate()
+        self.pager.acquire().pager.allocate()
     }
 
     /// Returns page `id` to the free list for reuse. The caller guarantees
@@ -653,7 +719,7 @@ impl BufferPool {
     /// metric used by the index-size experiments (Fig. 9a).
     pub fn live_pages(&self) -> u64 {
         let freed = self.alloc.acquire().free_pages.len() as u64;
-        self.pager.acquire().num_pages() - freed
+        self.pager.acquire().pager.num_pages() - freed
     }
 
     /// Stamps `frame`'s checksum trailer, writes it to the pager and —
@@ -662,7 +728,9 @@ impl BufferPool {
     /// stamp, so the write-back can be retried.
     fn write_back(&self, frame: &mut Frame) -> Result<()> {
         checksum::stamp(&mut frame.data, self.zero_mask);
-        self.pager.acquire().write_page(frame.id, &frame.data)?;
+        self.pager
+            .acquire()
+            .write(frame.id, &frame.data, frame.seq, &self.seq)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         frame.dirty = false;
         Ok(())
@@ -743,29 +811,22 @@ impl BufferPool {
                 shard.frames.len() - 1
             }
         };
+        let mut seq = 0;
         if fetch {
-            let res = self
-                .pager
-                .acquire()
-                .read_page(id, &mut shard.frames[idx].data);
-            if let Err(e) = res {
-                // Keep the unused frame on the free list.
-                shard.free.push(idx);
-                return Err(e);
-            }
-            if self.checksums {
-                if let Err((stored, computed)) =
-                    checksum::verify(&shard.frames[idx].data, self.zero_mask)
-                {
-                    // A corrupt page never enters the buffer (and its
-                    // fetch is not counted: only verified reads are
-                    // I/Os the caller can use).
+            let res = self.pager.acquire().read(id, &mut shard.frames[idx].data);
+            let res = res.and_then(|version| {
+                self.verify(id, &shard.frames[idx].data)?;
+                Ok(version)
+            });
+            match res {
+                Ok(version) => seq = version,
+                Err(e) => {
+                    // Keep the unused frame on the free list. A corrupt
+                    // page never enters the buffer (and its fetch is
+                    // not counted: only verified reads are I/Os the
+                    // caller can use).
                     shard.free.push(idx);
-                    return Err(Error::Corruption {
-                        page: id.0,
-                        expected: stored,
-                        found: computed,
-                    });
+                    return Err(e);
                 }
             }
             self.reads.fetch_add(1, Ordering::Relaxed);
@@ -774,11 +835,31 @@ impl BufferPool {
         }
         shard.frames[idx].id = id;
         shard.frames[idx].dirty = false;
-        shard.frames[idx].seq = 0;
+        shard.frames[idx].seq = seq;
         shard.frames[idx].base = None;
         shard.map.insert(id, idx);
         shard.push_front(idx);
         Ok(idx)
+    }
+
+    /// Checks a page image fetched from the pager against its trailer
+    /// (when verification is on).
+    fn verify(&self, id: PageId, page: &[u8]) -> Result<()> {
+        if self.checksums {
+            if let Err((stored, computed)) = checksum::verify(page, self.zero_mask) {
+                return Err(Error::Corruption {
+                    page: id.0,
+                    expected: stored,
+                    found: computed,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes a fresh mutation stamp.
+    fn next_seq(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     // -- public page access ---------------------------------------------
@@ -791,9 +872,26 @@ impl BufferPool {
     /// pool (directly or through a [`SharedStore`](crate::store::SharedStore)
     /// handle), or it will deadlock.
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
+        self.with_page_versioned(id, |data, _| f(data))
+    }
+
+    /// [`with_page`](Self::with_page) that also tells `f` which image it
+    /// reads (see [`Version`]) — the key the decoded-node cache stores
+    /// decodes under. The access is the same single buffer access, with
+    /// the same accounting.
+    pub(crate) fn with_page_versioned<T>(
+        &self,
+        id: PageId,
+        f: impl FnOnce(&[u8], Version) -> T,
+    ) -> Result<T> {
         let mut shard = self.shard_for(id).acquire();
         let idx = self.frame_for(&mut shard, id, true)?;
-        Ok(f(&shard.frames[idx].data[..self.payload]))
+        let frame = &shard.frames[idx];
+        let version = Version {
+            seq: frame.seq,
+            committed: self.wal && !frame.dirty,
+        };
+        Ok(f(&frame.data[..self.payload], version))
     }
 
     /// Overwrites page `id`'s payload with `bytes` (shorter payloads are
@@ -836,12 +934,15 @@ impl BufferPool {
                 // A resident clean frame holds the committed image —
                 // keep it as the base for snapshot readers. A miss
                 // means the committed image (if any) is on disk.
-                f.base = resident.map(|_| f.data.clone());
+                f.base = resident.map(|_| Image {
+                    seq: f.seq,
+                    data: f.data.clone(),
+                });
             }
             f.data[..bytes.len()].copy_from_slice(bytes);
             f.data[bytes.len()..].fill(0);
             f.dirty = true;
-            f.seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+            f.seq = self.next_seq();
             if newly_dirty {
                 let dirty = self.dirty_frames.fetch_add(1, Ordering::Relaxed) + 1;
                 self.dirty_high_water.fetch_max(dirty, Ordering::Relaxed);
@@ -849,10 +950,11 @@ impl BufferPool {
             return Ok(());
         }
         let idx = self.frame_for(&mut shard, id, false)?;
-        let data = &mut shard.frames[idx].data;
-        data[..bytes.len()].copy_from_slice(bytes);
-        data[bytes.len()..].fill(0);
-        shard.frames[idx].dirty = true;
+        let f = &mut shard.frames[idx];
+        f.data[..bytes.len()].copy_from_slice(bytes);
+        f.data[bytes.len()..].fill(0);
+        f.dirty = true;
+        f.seq = self.next_seq();
         Ok(())
     }
 
@@ -936,7 +1038,7 @@ impl BufferPool {
         txn.sort_by_key(|&(id, _, _)| id);
         if txn.is_empty() {
             // Nothing to log; still honor "commit means durable".
-            self.pager.acquire().sync()?;
+            self.pager.acquire().pager.sync()?;
             self.syncs.fetch_add(1, Ordering::Relaxed);
             self.finish_commit(capture_seq);
             return Ok(());
@@ -971,12 +1073,12 @@ impl BufferPool {
         // Phase D — apply: write the same images in place and sync the
         // data file.
         {
-            let mut pager = self.pager.acquire();
-            for (id, _, image) in &txn {
-                pager.write_page(*id, image)?;
+            let mut disk = self.pager.acquire();
+            for (id, seq, image) in &txn {
+                disk.write(*id, image, *seq, &self.seq)?;
                 self.writes.fetch_add(1, Ordering::Relaxed);
             }
-            pager.sync()?;
+            disk.pager.sync()?;
         }
         self.syncs.fetch_add(1, Ordering::Relaxed);
         // Phase E — the transaction is fully applied: drop the log.
@@ -1012,8 +1114,8 @@ impl BufferPool {
         match &self.wal_io {
             Some(h) => f(&mut **h.acquire()),
             None => {
-                let mut pager = self.pager.acquire();
-                let mut adapter = PagerWal(pager.as_mut());
+                let mut disk = self.pager.acquire();
+                let mut adapter = PagerWal(disk.pager.as_mut());
                 f(&mut adapter)
             }
         }
@@ -1044,7 +1146,7 @@ impl BufferPool {
         let _quiesced = self.barrier.acquire_excl();
         let mut snaps = self.snapshots.acquire();
         let old_epoch = snaps.epoch;
-        let mut retained: Vec<(PageId, Box<[u8]>)> = Vec::new();
+        let mut retained: Vec<(PageId, Image)> = Vec::new();
         if snaps.pins.range(..=old_epoch).next().is_some() {
             for (id, _, _) in txn {
                 retained.push((*id, self.pre_image(*id)?));
@@ -1055,11 +1157,11 @@ impl BufferPool {
         for (id, image) in retained {
             snaps.versions.entry(id).or_default().push(PageVersion {
                 superseded_at,
-                data: image,
+                image,
             });
         }
         drop(snaps);
-        for (id, _, image) in txn {
+        for (id, seq, image) in txn {
             let mut shard = self.shard_for(*id).acquire();
             if let Some(&idx) = shard.map.get(id) {
                 let f = &mut shard.frames[idx];
@@ -1068,7 +1170,10 @@ impl BufferPool {
                     // of the new epoch — even if the frame is a fresh
                     // incarnation (freed and re-allocated mid-commit),
                     // the base is keyed by page id, not incarnation.
-                    f.base = Some(image.clone());
+                    f.base = Some(Image {
+                        seq: *seq,
+                        data: image.clone(),
+                    });
                 }
             }
         }
@@ -1081,22 +1186,35 @@ impl BufferPool {
     /// dirty frame that was never committed from the buffer, and for
     /// pages whose frame is gone — the on-disk image, which no-steal
     /// guarantees is still the pre-transaction one at flip time.
-    fn pre_image(&self, id: PageId) -> Result<Box<[u8]>> {
+    ///
+    /// An image read off disk is verified like any fetch, so a corrupt
+    /// page fails the commit with a typed
+    /// [`Error::Corruption`] instead of being retained for snapshot
+    /// readers. The read is not counted in [`IoStats::reads`]: it
+    /// serves retention, not a caller's page access.
+    fn pre_image(&self, id: PageId) -> Result<Image> {
         {
             let shard = self.shard_for(id).acquire();
             if let Some(&idx) = shard.map.get(&id) {
                 let f = &shard.frames[idx];
                 if let Some(base) = &f.base {
-                    return Ok(base.clone());
+                    return Ok(Image {
+                        seq: base.seq,
+                        data: base.data.clone(),
+                    });
                 }
                 if !f.dirty {
-                    return Ok(f.data.clone());
+                    return Ok(Image {
+                        seq: f.seq,
+                        data: f.data.clone(),
+                    });
                 }
             }
         }
-        let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-        self.pager.acquire().read_page(id, &mut buf)?;
-        Ok(buf)
+        let mut data = vec![0u8; self.page_size].into_boxed_slice();
+        let seq = self.pager.acquire().read(id, &mut data)?;
+        self.verify(id, &data)?;
+        Ok(Image { seq, data })
     }
 
     /// Publishes a successful commit to group-commit followers: every
@@ -1170,6 +1288,23 @@ impl BufferPool {
     /// Like [`with_page`](Self::with_page), `f` runs under pool locks
     /// and must not re-enter the pool.
     pub fn with_page_at<T>(&self, id: PageId, epoch: u64, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
+        self.with_page_at_versioned(id, epoch, |data, _| f(data))
+    }
+
+    /// [`with_page_at`](Self::with_page_at) that also tells `f` which
+    /// image it reads (see [`Version`]; every image a snapshot sees is
+    /// committed). The access is the same single buffer access, with
+    /// the same accounting.
+    pub(crate) fn with_page_at_versioned<T>(
+        &self,
+        id: PageId,
+        epoch: u64,
+        f: impl FnOnce(&[u8], Version) -> T,
+    ) -> Result<T> {
+        let committed = |seq| Version {
+            seq,
+            committed: true,
+        };
         let _reader = self.barrier.acquire_shared();
         {
             let snaps = self.snapshots.acquire();
@@ -1179,7 +1314,7 @@ impl BufferPool {
                 // saw.
                 if let Some(v) = versions.iter().find(|v| v.superseded_at > epoch) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(f(&v.data[..self.payload]));
+                    return Ok(f(&v.image.data[..self.payload], committed(v.image.seq)));
                 }
             }
         }
@@ -1191,31 +1326,23 @@ impl BufferPool {
             if shard.frames[idx].dirty {
                 if let Some(base) = &shard.frames[idx].base {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(f(&base[..self.payload]));
+                    return Ok(f(&base.data[..self.payload], committed(base.seq)));
                 }
                 // Dirty with no base: the committed image lives on
                 // disk (no-steal). Read it without disturbing the
                 // uncommitted frame.
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-                self.pager.acquire().read_page(id, &mut buf)?;
-                if self.checksums {
-                    if let Err((stored, computed)) = checksum::verify(&buf, self.zero_mask) {
-                        return Err(Error::Corruption {
-                            page: id.0,
-                            expected: stored,
-                            found: computed,
-                        });
-                    }
-                }
+                let seq = self.pager.acquire().read(id, &mut buf)?;
+                self.verify(id, &buf)?;
                 self.reads.fetch_add(1, Ordering::Relaxed);
-                return Ok(f(&buf[..self.payload]));
+                return Ok(f(&buf[..self.payload], committed(seq)));
             }
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            shard.touch(idx);
-            return Ok(f(&shard.frames[idx].data[..self.payload]));
         }
+        // A clean frame (a hit) or a miss: the frame holds the
+        // committed image.
         let idx = self.frame_for(&mut shard, id, true)?;
-        Ok(f(&shard.frames[idx].data[..self.payload]))
+        let frame = &shard.frames[idx];
+        Ok(f(&frame.data[..self.payload], committed(frame.seq)))
     }
 
     /// Writes every dirty page back to the pager, then syncs it.
@@ -1249,7 +1376,7 @@ impl BufferPool {
                 }
             }
         }
-        let sync_res = self.pager.acquire().sync();
+        let sync_res = self.pager.acquire().pager.sync();
         if sync_res.is_ok() {
             self.syncs.fetch_add(1, Ordering::Relaxed);
         }
@@ -1328,6 +1455,9 @@ impl BufferPool {
                 }
                 if f.base.is_some() && !f.dirty {
                     return fail("clean frame retains a committed base");
+                }
+                if f.base.as_ref().is_some_and(|b| b.seq > f.seq) {
+                    return fail("committed base newer than the frame's image");
                 }
                 if f.dirty {
                     dirty_seen += 1;
@@ -2103,6 +2233,104 @@ mod tests {
         assert_eq!(p.stats().reads, reads0 + 1, "served from disk");
         assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 6);
         p.unpin_snapshot(e);
+        p.validate().unwrap();
+    }
+
+    /// A memory pager the test keeps a handle to, so it can scribble
+    /// over a page behind the pool's back.
+    struct SharedPager(std::sync::Arc<std::sync::Mutex<MemPager>>);
+
+    impl SharedPager {
+        fn inner(&self) -> std::sync::MutexGuard<'_, MemPager> {
+            self.0.lock().unwrap()
+        }
+    }
+
+    impl Pager for SharedPager {
+        fn page_size(&self) -> usize {
+            self.inner().page_size()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner().num_pages()
+        }
+        fn allocate(&mut self) -> Result<PageId> {
+            self.inner().allocate()
+        }
+        fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.inner().read_page(id, buf)
+        }
+        fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<()> {
+            self.inner().write_page(id, data)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner().sync()
+        }
+        fn wal_append(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner().wal_append(bytes)
+        }
+        fn wal_sync(&mut self) -> Result<()> {
+            self.inner().wal_sync()
+        }
+        fn wal_len(&mut self) -> Result<u64> {
+            self.inner().wal_len()
+        }
+        fn wal_rollback(&mut self, len: u64) -> Result<()> {
+            self.inner().wal_rollback(len)
+        }
+        fn wal_truncate(&mut self) -> Result<()> {
+            self.inner().wal_truncate()
+        }
+        fn wal_read(&mut self) -> Result<Vec<u8>> {
+            self.inner().wal_read()
+        }
+        fn split_wal(&mut self) -> Option<Box<dyn crate::wal::WalFile>> {
+            self.inner().split_wal()
+        }
+    }
+
+    /// A commit retaining a pre-image for a pinned snapshot reads it
+    /// off disk when no frame holds it. A corrupt image there must fail
+    /// the commit with a typed `Corruption` — never be retained for the
+    /// snapshot to serve — and the read is not a counted I/O.
+    #[test]
+    fn a_corrupt_pre_image_fails_the_commit_instead_of_being_retained() {
+        let mem = std::sync::Arc::new(std::sync::Mutex::new(MemPager::new(128)));
+        let p = BufferPool::with_config(Box::new(SharedPager(mem.clone())), 2, 1, true, true);
+        let a = p.allocate().unwrap();
+        p.write_page(a, &[5; 8]).unwrap();
+        p.commit().unwrap();
+        // Push `a`'s clean frame out, then overwrite it while it is not
+        // resident: its committed image lives only on disk.
+        page_with(&p, 1);
+        page_with(&p, 2);
+        let e = p.pin_snapshot();
+        p.write_page(a, &[6; 8]).unwrap();
+        mem.lock().unwrap().write_page(a, &[0xEE; 128]).unwrap();
+
+        let (reads, epoch) = (p.stats().reads, p.commit_epoch());
+        let err = p.commit().unwrap_err();
+        assert!(
+            matches!(err, Error::Corruption { page, .. } if page == a.0),
+            "got: {err}"
+        );
+        assert_eq!(p.stats().reads, reads, "a retention read is not an I/O");
+        assert_eq!(p.commit_epoch(), epoch, "the flip did not happen");
+        p.validate().unwrap();
+        // Nothing was retained: the pinned snapshot's read of `a` goes
+        // to disk and reports the corruption too.
+        assert!(matches!(
+            p.with_page_at(a, e, |d| d[0]).unwrap_err(),
+            Error::Corruption { .. }
+        ));
+        assert_eq!(p.with_page(a, |d| d[0]).unwrap(), 6);
+        // Once no snapshot needs the old image, the commit goes through
+        // and its image replaces the corrupt one.
+        p.unpin_snapshot(e);
+        p.commit().unwrap();
+        assert_eq!(p.commit_epoch(), epoch + 1);
+        let e2 = p.pin_snapshot();
+        assert_eq!(p.with_page_at(a, e2, |d| d[0]).unwrap(), 6);
+        p.unpin_snapshot(e2);
         p.validate().unwrap();
     }
 

@@ -16,9 +16,10 @@
 //!   [`pager::FilePager`] for real files),
 //! * [`buffer`] — the [`buffer::BufferPool`]: LRU caching,
 //!   dirty write-back, [`buffer::IoStats`],
-//! * [`nodecache`] — the [`nodecache::NodeCache`]: a generation-checked
-//!   LRU of *decoded* nodes above the byte pool, so warm traversals skip
-//!   codec cost without perturbing byte-level I/O accounting,
+//! * [`nodecache`] — the [`nodecache::NodeCache`]: a version-keyed LRU
+//!   of *decoded* nodes above the byte pool, shared by live and snapshot
+//!   reads, so warm traversals skip codec cost without perturbing
+//!   byte-level I/O accounting,
 //! * [`rank`] — [`rank::RankedMutex`], the rank-checked lock wrapper
 //!   every mutex in this crate goes through (debug builds panic on
 //!   out-of-order acquisition; see the module docs for the lock order),
@@ -47,7 +48,7 @@ pub mod store;
 pub mod superblock;
 pub mod wal;
 
-pub use buffer::{BufferPool, IoStats};
+pub use buffer::{BufferPool, IoStats, Version};
 pub use fault::{FaultHandle, FaultPager, FaultSpec, OpFilter};
 pub use nodecache::NodeCache;
 pub use pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};

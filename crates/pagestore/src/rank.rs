@@ -40,9 +40,10 @@
 //! barrier before falling back to the shards — so it must sit between
 //! `BARRIER` and `ALLOCATOR`.  `NODE_CACHE` guards a decoded-node cache
 //! shard in [`crate::nodecache`]; it is a *leaf* lock — never held
-//! across any other acquisition — so any slot above `SUPERBLOCK` would
-//! do, and it sits just below `SHARD` to mirror the layering (typed
-//! cache above the byte pool).  `WAL_IO` guards the pool's dedicated
+//! across any other acquisition — but a node read probes it inside its
+//! page access, keyed by the version of the image that access serves,
+//! so it must sit above `SHARD` and `SNAPSHOT`, which that access may
+//! hold; it sits just above `SHARD`, below `PAGER`.  `WAL_IO` guards the pool's dedicated
 //! [`WalFile`](crate::wal::WalFile) handle: the log phase of a commit
 //! takes it *instead of* the pager lock (so log fsyncs never block
 //! cache-miss readers), and it ranks above `PAGER` because the legacy
@@ -95,13 +96,16 @@ pub const SNAPSHOT: u32 = 3;
 /// Free-list / high-water-mark allocator state.  Held across pager grow
 /// and across shard frame-drop, so it must rank below both.
 pub const ALLOCATOR: u32 = 4;
-/// A decoded-node cache shard ([`crate::nodecache`]).  A leaf lock:
-/// lookups, conditional inserts and invalidations never touch another
-/// lock while holding it.
-pub const NODE_CACHE: u32 = 5;
 /// A buffer-pool shard (cache segment).  Held across pager I/O on miss,
-/// eviction, and flush.
-pub const SHARD: u32 = 6;
+/// eviction, and flush, and across the decoded-node cache probe of a
+/// node read.
+pub const SHARD: u32 = 5;
+/// A decoded-node cache shard ([`crate::nodecache`]).  Probed and
+/// filled inside a node read's page access — under the page's buffer
+/// shard, or the snapshot table for a retained image — so it ranks
+/// above both; a leaf lock: lookups, inserts and invalidations never
+/// touch another lock while holding it.
+pub const NODE_CACHE: u32 = 6;
 /// The backing pager (file or memory).  Nothing else below `WAL_STATE`
 /// is acquired while it is held.
 pub const PAGER: u32 = 7;
@@ -121,12 +125,6 @@ pub const WAL_STATE: u32 = 9;
 /// the pager or WAL-handle lock and is released before the faulted
 /// operation reaches the `WAL_STATE` lock.
 pub const STATS: u32 = 10;
-/// A snapshot's per-batch decoded-node memo
-/// ([`crate::store::StoreSnapshot`]).  A leaf lock at the very top of
-/// the order: lookups and inserts touch only the memo map and are
-/// released before the snapshot read descends into the barrier, shard
-/// and pager locks, so nothing is ever acquired while it is held.
-pub const SNAP_MEMO: u32 = 11;
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -150,7 +148,7 @@ fn check_and_push(lock_rank: u32, label: &'static str) {
                 "lock-rank violation: acquiring `{label}` (rank {lock_rank}) \
                  while holding `{top_label}` (rank {top_rank}); locks must be \
                  taken in strictly increasing rank order (wal < superblock < \
-                 barrier < snapshot < allocator < node cache < shard < pager < \
+                 barrier < snapshot < allocator < shard < node cache < pager < \
                  wal io < wal state < stats)",
             );
         }

@@ -14,15 +14,14 @@
 //! a single shard and behaves byte-identically to the paper's sequential
 //! single-LRU setting: same eviction order, same I/O counts.
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::any::Any;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use boxagg_common::error::{corrupt, invalid_arg, Error, Result};
 
-use crate::buffer::{BufferPool, IoStats};
+use crate::buffer::{BufferPool, IoStats, Version};
 use crate::nodecache::NodeCache;
 use crate::pager::{FilePager, MemPager, PageId, Pager, DEFAULT_PAGE_SIZE};
 use crate::rank::{self, RankedMutex};
@@ -562,37 +561,9 @@ impl SharedStore {
         Ok(StoreSnapshot {
             store: self.clone(),
             epoch,
-            memo: None,
             node_accesses: AtomicU64::new(0),
             node_decodes: AtomicU64::new(0),
         })
-    }
-
-    /// Like [`snapshot`](Self::snapshot), but the returned view also
-    /// memoizes decoded nodes for its lifetime.
-    ///
-    /// A plain snapshot's [`read_node`](StoreSnapshot::read_node) pays
-    /// a full decode on every call (the global decoded-node cache is
-    /// keyed to *current* bytes and cannot serve a pinned epoch). When
-    /// one snapshot executes a whole *batch* of queries — the serving
-    /// layer's shared-traversal batching — that re-decodes the root
-    /// and upper index levels once per query. A memoized snapshot
-    /// decodes each `(page, type)` at most once and shares the `Arc`
-    /// across the batch; the memo is safe precisely because the
-    /// snapshot is immutable, and it dies with the snapshot.
-    ///
-    /// Note the accounting trade-off: a memo hit skips the buffer-pool
-    /// access entirely, so byte-level I/O counters no longer match a
-    /// sequential replay. Experiments that depend on exact paper
-    /// accounting must keep using [`snapshot`](Self::snapshot).
-    pub fn snapshot_memoized(&self) -> Result<StoreSnapshot> {
-        let mut snap = self.snapshot()?;
-        snap.memo = Some(RankedMutex::new(
-            rank::SNAP_MEMO,
-            "snapshot memo",
-            HashMap::new(),
-        ));
-        Ok(snap)
     }
 
     /// Sets the pool's dirty-frame ceiling: once this many uncommitted
@@ -651,16 +622,16 @@ impl SharedStore {
     ///
     /// Byte-level accounting is identical with the cache on, off, or
     /// cold: every call performs exactly one [`with_page`] access (on a
-    /// decoded-cache hit the closure is empty), so buffer LRU order,
+    /// decoded-cache hit the bytes go unread), so buffer LRU order,
     /// hit/read counters and eviction I/O are byte-for-byte what an
     /// uncached implementation would produce. The win is purely the
     /// skipped decode.
     ///
-    /// Staleness is impossible by the generation protocol (see
-    /// [`crate::nodecache`]): [`write_page`](Self::write_page) and
-    /// [`free`](Self::free) bump the page's generation *after* the byte
-    /// operation completes, which both evicts the cached decode and
-    /// rejects any in-flight decode that started before the write.
+    /// Staleness is impossible by the version protocol (see
+    /// [`crate::nodecache`]): the cache is probed inside the page
+    /// access, under the version of the very bytes that access serves,
+    /// and every [`write_page`](Self::write_page) gives the page a new
+    /// version.
     ///
     /// `decode` runs while the page's pool shard is locked (exactly like
     /// a [`with_page`] closure): it must not access the store again.
@@ -671,25 +642,42 @@ impl SharedStore {
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
-        let (cached, gen) = self.nodes.lookup::<N>(id);
-        if let Some(node) = cached {
-            // Byte-identity: touch the buffer pool exactly as a decoding
-            // read would, so LRU order and hit/read counts are unchanged.
-            self.pool.with_page(id, |_| ())?;
-            return Ok(node);
+        self.pool.with_page_versioned(id, |bytes, version| {
+            self.cached_decode(id, bytes, version, decode)
+                .map(|(n, _)| n)
+        })?
+    }
+
+    /// The decode of page `id`'s image `version` (whose bytes are
+    /// `bytes`): from the cache, or decoded and cached. Also reports
+    /// whether it decoded. Runs inside the page access that produced
+    /// `bytes`.
+    fn cached_decode<N, F>(
+        &self,
+        id: PageId,
+        bytes: &[u8],
+        version: Version,
+        decode: F,
+    ) -> Result<(Arc<N>, bool)>
+    where
+        N: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<N>,
+    {
+        if let Some(node) = self.nodes.lookup::<N>(id, version) {
+            return Ok((node, false));
         }
-        let node = Arc::new(self.pool.with_page(id, decode)??);
+        let node = Arc::new(decode(bytes)?);
         self.nodes
-            .insert_if_current(id, gen, node.clone() as Arc<dyn Any + Send + Sync>);
-        Ok(node)
+            .insert(id, version, node.clone() as Arc<dyn Any + Send + Sync>);
+        Ok((node, true))
     }
 
     /// Overwrites page `id` (short payloads zero-padded).
     pub fn write_page(&self, id: PageId, bytes: &[u8]) -> Result<()> {
         self.check_writable("write_page")?;
         self.pool.write_page(id, bytes)?;
-        // Invalidate only after the byte write is visible, so a decode
-        // that survives the generation bump has seen the new bytes.
+        // The overwritten image, if uncommitted, can no longer be read:
+        // drop its decode.
         self.nodes.invalidate(id);
         Ok(())
     }
@@ -727,8 +715,8 @@ impl SharedStore {
     pub fn free(&self, id: PageId) -> Result<()> {
         self.check_writable("free")?;
         self.pool.free_page(id)?;
-        // The id may be reallocated with fresh contents: drop the decoded
-        // entry and reject in-flight decodes of the old bytes.
+        // The id may be reallocated with fresh contents, which get new
+        // versions anyway; the uncommitted image's decode is garbage.
         self.nodes.invalidate(id);
         Ok(())
     }
@@ -754,17 +742,6 @@ impl SharedStore {
     }
 }
 
-/// Ceiling on memoized decoded nodes per snapshot. A batch that walks
-/// more distinct pages than this simply stops inserting (lookups still
-/// hit what is already memoized), bounding memory for pathological
-/// batches.
-const SNAP_MEMO_CAP: usize = 1 << 16;
-
-/// Decoded-node memo keyed by page and concrete node type: one snapshot
-/// can serve nodes of different types (interior vs leaf) from the same
-/// traversal, so the page id alone is not a sufficient key.
-type SnapMemoMap = HashMap<(PageId, TypeId), Arc<dyn Any + Send + Sync>>;
-
 /// An immutable view of a [`SharedStore`] pinned to one commit epoch
 /// (see [`SharedStore::snapshot`]). Reads through it are repeatable —
 /// every page shows the bytes the pinned commit left, with writers and
@@ -773,13 +750,10 @@ type SnapMemoMap = HashMap<(PageId, TypeId), Arc<dyn Any + Send + Sync>>;
 pub struct StoreSnapshot {
     store: SharedStore,
     epoch: u64,
-    /// Per-snapshot decoded-node memo, present only for
-    /// [`SharedStore::snapshot_memoized`] views.
-    memo: Option<RankedMutex<SnapMemoMap>>,
     /// Decoded-node reads served through this snapshot.
     node_accesses: AtomicU64,
-    /// The subset of those reads that paid a decode (memo miss, or no
-    /// memo at all).
+    /// The subset of those reads that missed the decoded-node cache and
+    /// paid a decode.
     node_decodes: AtomicU64,
 }
 
@@ -787,7 +761,6 @@ impl std::fmt::Debug for StoreSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreSnapshot")
             .field("epoch", &self.epoch)
-            .field("memoized", &self.memo.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -815,52 +788,36 @@ impl StoreSnapshot {
     /// Reads page `id` as a decoded node of type `N`, as of the pinned
     /// epoch.
     ///
-    /// Unlike [`SharedStore::read_node`] this never consults the
-    /// *global* decoded-node cache: its entries are keyed to a page's
-    /// current bytes by the generation protocol, while a snapshot may
-    /// be reading a superseded image. A snapshot obtained through
-    /// [`SharedStore::snapshot_memoized`] instead consults its own
-    /// per-snapshot memo, which is trivially consistent (the snapshot
-    /// never changes) — a memo hit skips both the decode *and* the
-    /// buffer-pool access.
+    /// Goes through the store's one decoded-node cache, exactly like
+    /// [`SharedStore::read_node`]: the cache is keyed by the version of
+    /// the page image this epoch sees, so a hit is the decode of these
+    /// very bytes — never a newer or older image of the page — and
+    /// readers of one epoch share each other's decodes, and the
+    /// writer's, for every page the writer has not changed since. Every
+    /// call makes exactly one page access, hit or miss, so byte-level
+    /// accounting matches an uncached read.
     pub fn read_node<N, F>(&self, id: PageId, decode: F) -> Result<Arc<N>>
     where
         N: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<N>,
     {
         self.node_accesses.fetch_add(1, Ordering::Relaxed);
-        if let Some(memo) = &self.memo {
-            let key = (id, TypeId::of::<N>());
-            {
-                // Probe in a tight scope: the memo lock is a leaf at
-                // the top of the rank order and is released before the
-                // page read descends into barrier/shard/pager locks.
-                let map = memo.acquire();
-                if let Some(hit) = map.get(&key) {
-                    if let Ok(node) = Arc::clone(hit).downcast::<N>() {
-                        return Ok(node);
-                    }
-                }
-            }
-            let node = Arc::new(self.store.pool.with_page_at(id, self.epoch, decode)??);
+        let (node, decoded) =
+            self.store
+                .pool
+                .with_page_at_versioned(id, self.epoch, |bytes, version| {
+                    self.store.cached_decode(id, bytes, version, decode)
+                })??;
+        if decoded {
             self.node_decodes.fetch_add(1, Ordering::Relaxed);
-            let mut map = memo.acquire();
-            if map.len() < SNAP_MEMO_CAP {
-                map.insert(key, Arc::clone(&node) as Arc<dyn Any + Send + Sync>);
-            }
-            return Ok(node);
         }
-        self.node_decodes.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(
-            self.store.pool.with_page_at(id, self.epoch, decode)??,
-        ))
+        Ok(node)
     }
 
     /// Decoded-node read counters for this snapshot, as
     /// `(accesses, decodes)`: `accesses` counts every
     /// [`read_node`](Self::read_node) call, `decodes` the subset that
-    /// actually ran the codec. On a plain snapshot the two are equal;
-    /// on a memoized one the gap is exactly the work the batch shared.
+    /// missed the decoded-node cache and ran the codec.
     pub fn node_reads(&self) -> (u64, u64) {
         (
             self.node_accesses.load(Ordering::Relaxed),
@@ -868,10 +825,17 @@ impl StoreSnapshot {
         )
     }
 
-    /// Whether this snapshot carries a decoded-node memo (see
-    /// [`SharedStore::snapshot_memoized`]).
-    pub fn is_memoized(&self) -> bool {
-        self.memo.is_some()
+    /// The superblock as of the pinned epoch, decoded from one read of
+    /// page 0; `Ok(None)` for a store whose page 0 was never formatted.
+    /// Read it once and look up every root a query needs in it.
+    pub fn superblock(&self) -> Result<Option<Superblock>> {
+        self.with_page(PageId(0), |d| {
+            if d.iter().all(|&b| b == 0) {
+                Ok(None)
+            } else {
+                Superblock::decode(d).map(Some)
+            }
+        })?
     }
 
     /// Looks up a named root in the superblock catalog *as of the
@@ -880,12 +844,7 @@ impl StoreSnapshot {
     /// catalog at that epoch (or for a store whose page 0 was never
     /// formatted).
     pub fn root(&self, name: &str) -> Result<Option<RootEntry>> {
-        let payload = self.with_page(PageId(0), |d| d.to_vec())?;
-        if payload.iter().all(|&b| b == 0) {
-            return Ok(None);
-        }
-        let sb = Superblock::decode(&payload)?;
-        Ok(sb.root(name).cloned())
+        Ok(self.superblock()?.and_then(|sb| sb.root(name).cloned()))
     }
 
     /// I/O statistics of the underlying store (snapshot reads count
@@ -1161,7 +1120,7 @@ mod tests {
         assert_eq!(s.with_page(a, |d| d[0]).unwrap(), 9);
 
         // A snapshot taken now sees the new state; decoded reads on
-        // the old snapshot bypass the node cache.
+        // the old snapshot see the old image.
         let snap2 = s.snapshot().unwrap();
         assert_eq!(snap2.root("tree").unwrap().expect("root").root, b);
         let n = snap.read_node(a, |d| Ok(d[0])).unwrap();
@@ -1171,60 +1130,209 @@ mod tests {
         s.validate().unwrap();
     }
 
+    /// Decodes a page as the `u8` its first byte holds, counting calls.
+    fn decode_first(calls: &AtomicU64) -> impl FnOnce(&[u8]) -> Result<u8> + '_ {
+        move |d: &[u8]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok(d[0])
+        }
+    }
+
     #[test]
-    fn memoized_snapshot_shares_decodes_across_a_batch() {
+    fn snapshots_share_the_one_node_cache() {
         let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
         let a = s.allocate().unwrap();
         let b = s.allocate().unwrap();
         s.write_page(a, &[1; 8]).unwrap();
         s.write_page(b, &[2; 8]).unwrap();
         s.commit().unwrap();
+        s.reset_stats();
 
-        // A plain snapshot decodes on every read: accesses == decodes.
-        let plain = s.snapshot().unwrap();
-        assert!(!plain.is_memoized());
+        // With no commits, a snapshot decodes each page it touches at
+        // most once: decodes <= distinct pages touched.
+        let first = s.snapshot().unwrap();
         for _ in 0..4 {
-            assert_eq!(*plain.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+            assert_eq!(*first.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+            assert_eq!(*first.read_node(b, |d| Ok(d[0])).unwrap(), 2);
         }
-        assert_eq!(plain.node_reads(), (4, 4));
-        drop(plain);
-
-        // A memoized snapshot decodes each (page, type) once.
-        let memo = s.snapshot_memoized().unwrap();
-        assert!(memo.is_memoized());
-        for _ in 0..4 {
-            assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-            assert_eq!(*memo.read_node(b, |d| Ok(d[0])).unwrap(), 2);
-        }
-        assert_eq!(memo.node_reads(), (8, 2));
-        // A different decoded type is a distinct memo entry, not a
-        // type-confused hit.
-        assert_eq!(*memo.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 1u16);
-        assert_eq!(memo.node_reads(), (9, 3));
-        drop(memo);
-
-        // The memo pins superseded images only as long as the snapshot
-        // lives; writes after its death are invisible to it by then.
+        assert_eq!(first.node_reads(), (8, 2));
+        // A second snapshot of the same epoch, and a live read of the
+        // same committed bytes, decode nothing.
+        let second = s.snapshot().unwrap();
+        assert_eq!(second.epoch(), first.epoch());
+        assert_eq!(*second.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(*second.read_node(b, |d| Ok(d[0])).unwrap(), 2);
+        assert_eq!(second.node_reads(), (2, 0));
+        assert_eq!(*s.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        // Every node read was one buffer access and one counted cache
+        // lookup.
+        let st = s.stats();
+        assert_eq!((st.decode_hits, st.decode_misses), (9, 2));
+        assert_eq!(st.hits + st.reads, 11);
+        drop((first, second));
         s.validate().unwrap();
     }
 
     #[test]
-    fn memoized_snapshot_is_immutable_under_concurrent_commits() {
+    fn a_read_of_another_node_type_misses() {
+        let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
+        let a = s.allocate().unwrap();
+        s.write_page(a, &[3; 8]).unwrap();
+        s.commit().unwrap();
+        let snap = s.snapshot().unwrap();
+        assert_eq!(*snap.read_node(a, |d| Ok(d[0])).unwrap(), 3u8);
+        // Same page, same image, different decoded type: a miss that
+        // decodes, never a type-confused hit.
+        assert_eq!(*snap.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 3u16);
+        assert_eq!(snap.node_reads(), (2, 2));
+        assert_eq!(*s.read_node(a, |d| Ok(u16::from(d[0]))).unwrap(), 3u16);
+        assert_eq!(s.stats().decode_misses, 2, "the u16 decode is now cached");
+        s.validate().unwrap();
+    }
+
+    #[test]
+    fn snapshots_never_get_another_epochs_decode() {
         let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
         let a = s.allocate().unwrap();
         s.write_page(a, &[1; 8]).unwrap();
         s.commit().unwrap();
-        let memo = s.snapshot_memoized().unwrap();
+        let old = s.snapshot().unwrap();
+        let calls = AtomicU64::new(0);
+        assert_eq!(*old.read_node(a, decode_first(&calls)).unwrap(), 1);
+
+        // Uncommitted and then committed overwrites: the writer's live
+        // reads see (and cache) the new bytes ...
         s.write_page(a, &[9; 8]).unwrap();
+        assert_eq!(*s.read_node(a, decode_first(&calls)).unwrap(), 9);
+        assert_eq!(*old.read_node(a, decode_first(&calls)).unwrap(), 1);
         s.commit().unwrap();
-        // Both the cold read and the memo hit see the pinned image.
-        assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
-        assert_eq!(*memo.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        let new = s.snapshot().unwrap();
+        assert!(new.epoch() > old.epoch());
+        // ... the new snapshot hits the decode of the image its epoch
+        // sees, and the pinned one keeps its own.
+        assert_eq!(*new.read_node(a, decode_first(&calls)).unwrap(), 9);
+        assert_eq!(*old.read_node(a, decode_first(&calls)).unwrap(), 1);
+        assert_eq!(*new.read_node(a, decode_first(&calls)).unwrap(), 9);
+        assert_eq!(new.node_reads(), (2, 0), "the writer's decode is shared");
+
+        // The writer moves on again; both snapshots still read their
+        // epochs' images, and the current one still hits.
+        s.write_page(a, &[5; 8]).unwrap();
+        assert_eq!(*s.read_node(a, decode_first(&calls)).unwrap(), 5);
+        assert_eq!(*new.read_node(a, decode_first(&calls)).unwrap(), 9);
+        assert_eq!(*old.read_node(a, decode_first(&calls)).unwrap(), 1);
+        assert_eq!(new.node_reads(), (3, 0));
+        let (accesses, decodes) = old.node_reads();
+        assert_eq!(accesses, 4);
+        assert!(decodes >= 1, "the first read decodes");
         assert_eq!(
-            *s.snapshot().unwrap().read_node(a, |d| Ok(d[0])).unwrap(),
-            9
+            calls.load(Ordering::Relaxed),
+            decodes + 2,
+            "two writer decodes, every other decode is the old snapshot's"
         );
-        drop(memo);
+        drop((old, new));
+        s.validate().unwrap();
+    }
+
+    #[test]
+    fn a_freed_and_reallocated_page_is_not_served_its_old_decode() {
+        let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
+        let a = s.allocate().unwrap();
+        s.write_page(a, &[1; 8]).unwrap();
+        s.commit().unwrap();
+        let pinned = s.snapshot().unwrap();
+        assert_eq!(*pinned.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+        assert_eq!(*s.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+
+        s.free(a).unwrap();
+        let again = s.allocate().unwrap();
+        assert_eq!(again, a, "the free list hands the id back");
+        s.write_page(again, &[7; 8]).unwrap();
+        assert_eq!(*s.read_node(again, |d| Ok(d[0])).unwrap(), 7);
+        s.commit().unwrap();
+        let fresh = s.snapshot().unwrap();
+        assert_eq!(*fresh.read_node(again, |d| Ok(d[0])).unwrap(), 7);
+        // The snapshot pinned before the free still sees the old page.
+        assert_eq!(*pinned.read_node(a, |d| Ok(d[0])).unwrap(), 1);
+
+        // The same on a store without WAL, where only live reads exist.
+        let raw = SharedStore::open(&StoreConfig::small(256, 8)).unwrap();
+        let b = raw.allocate().unwrap();
+        raw.write_page(b, &[4; 8]).unwrap();
+        assert_eq!(*raw.read_node(b, |d| Ok(d[0])).unwrap(), 4);
+        raw.free(b).unwrap();
+        assert_eq!(raw.allocate().unwrap(), b);
+        raw.write_page(b, &[6; 8]).unwrap();
+        assert_eq!(*raw.read_node(b, |d| Ok(d[0])).unwrap(), 6);
+        drop((pinned, fresh));
+        s.validate().unwrap();
+        raw.validate().unwrap();
+    }
+
+    /// Readers pinned at several epochs race a committer that rewrites
+    /// every page each round. Every node a reader gets must equal a
+    /// fresh decode of the page image its epoch sees, read in the same
+    /// breath through the uncached snapshot path.
+    #[test]
+    fn pinned_readers_race_a_committer_and_only_ever_see_their_epoch() {
+        const PAGES: usize = 12;
+        const ROUNDS: u64 = 60;
+        const READERS: usize = 4;
+        let s = SharedStore::open(&StoreConfig::small(256, 8).with_wal(true)).unwrap();
+        let ids: Vec<PageId> = (0..PAGES)
+            .map(|_| {
+                let id = s.allocate().unwrap();
+                s.write_page(id, &0u64.to_le_bytes()).unwrap();
+                id
+            })
+            .collect();
+        s.commit().unwrap();
+        let decode = |d: &[u8]| -> Result<u64> {
+            let mut raw = [0u8; 8];
+            raw.copy_from_slice(&d[..8]);
+            Ok(u64::from_le_bytes(raw))
+        };
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for r in 0..READERS {
+                let (s, ids, done) = (s.clone(), &ids, &done);
+                scope.spawn(move || {
+                    let mut held: Vec<StoreSnapshot> = Vec::new();
+                    let mut turn = 0usize;
+                    while !done.load(Ordering::SeqCst) {
+                        // Keep up to three pins of different ages.
+                        if held.len() < 3 || turn % 7 == r {
+                            held.push(s.snapshot().unwrap());
+                            if held.len() > 3 {
+                                held.remove(0);
+                            }
+                        }
+                        for snap in &held {
+                            for &id in ids {
+                                let got = *snap.read_node(id, decode).unwrap();
+                                let want = snap.with_page(id, |d| decode(d)).unwrap().unwrap();
+                                assert_eq!(got, want, "epoch {} page {id:?}", snap.epoch());
+                            }
+                        }
+                        turn += 1;
+                    }
+                });
+            }
+            for round in 1..=ROUNDS {
+                for (i, &id) in ids.iter().enumerate() {
+                    if !(i as u64 + round).is_multiple_of(3) {
+                        s.write_page(id, &(round * 100 + i as u64).to_le_bytes())
+                            .unwrap();
+                        // The writer reads its own uncommitted bytes too.
+                        assert_eq!(*s.read_node(id, decode).unwrap(), round * 100 + i as u64);
+                    }
+                }
+                s.commit().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let st = s.stats();
+        assert!(st.decode_hits > 0, "readers shared decodes");
         s.validate().unwrap();
     }
 

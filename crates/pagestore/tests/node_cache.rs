@@ -33,7 +33,7 @@ fn write_invalidates_cached_decode() {
     assert_eq!(*s.read_node::<u8, _>(id, |b| Ok(b[0])).unwrap(), 2);
     assert!(
         s.stats().decode_invalidations >= 2,
-        "writes bump generations"
+        "every write drops the page's live decode"
     );
 }
 

@@ -1,21 +1,22 @@
 //! The `boxagg serve` server: TCP connections on a [`WorkerPool`],
-//! reads batched through shared snapshot traversals, writes collapsed
-//! through group commit.
+//! reads on commit-epoch snapshots sharing the store's decoded-node
+//! cache, writes collapsed through group commit.
 //!
-//! ## Read path — shared-traversal batching
+//! ## Read path — snapshot reads through the shared node cache
 //!
 //! Every box-sum / dominance-sum request is posted to one **admission
-//! queue**. The batcher thread takes the first waiting request, keeps
-//! admitting compatible requests for a small window
-//! ([`ServeConfig::batch_window`], capped at
-//! [`ServeConfig::max_batch`]), then executes the whole group against
-//! **one** snapshot pinned to the current commit epoch. Requests inside
-//! a group are evaluated serially in arrival order — so every answer is
-//! bit-identical to the unbatched execution — but the snapshot's
-//! decoded-node memo (see `SharedStore::snapshot_memoized`) lets the
-//! group decode the root and upper index levels once instead of once
-//! per request. Batching changes *when* work happens, never *what* is
-//! computed.
+//! queue**. The batcher thread takes the first waiting request and —
+//! with a nonzero [`ServeConfig::batch_window`] — keeps admitting
+//! requests for that long (capped at [`ServeConfig::max_batch`]), then
+//! executes the group against **one** snapshot pinned to the current
+//! commit epoch. Requests inside a group are evaluated serially in
+//! arrival order, so every answer is bit-identical to the unbatched
+//! execution. Snapshot reads go through
+//! the store's one decoded-node cache, keyed by the version of the page
+//! image each epoch sees: the root and upper index levels decode once
+//! per commit, not once per request, and a lone request shares them
+//! without waiting for companions — so the window defaults to zero.
+//! Grouping changes *when* work happens, never *what* is computed.
 //!
 //! ## Write path — group commit, idempotency tokens
 //!
@@ -100,9 +101,10 @@ use crate::proto::{
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// How long the admission queue waits for companions after the
-    /// first read request arrives. `Duration::ZERO` disables batching:
-    /// every request runs as its own single-element group on a plain
-    /// (un-memoized) snapshot — the serial baseline.
+    /// first read request arrives. Decodes are shared through the
+    /// store's node cache whether or not requests group, so the default
+    /// is `Duration::ZERO`: a request runs as soon as the batcher takes
+    /// it, as its own single-element group.
     pub batch_window: Duration,
     /// Most read requests admitted into one group.
     pub max_batch: usize,
@@ -136,7 +138,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             max_batch: 64,
             threads: 48,
             read_deadline: Duration::from_secs(5),
@@ -558,12 +560,10 @@ fn batcher_loop(shared: &Shared, rx: &Receiver<ReadJob>) {
 
 /// Executes one admission group over a single pinned snapshot.
 ///
-/// Single-request groups use a plain snapshot (exactly the serial
-/// execution); larger groups use a memoized one so the shared upper
-/// index levels decode once. Requests are evaluated serially in
-/// arrival order — answers are bit-identical either way. Members whose
-/// deadline expired while queued are dropped up front with a typed
-/// reply: their traversal would be wasted work.
+/// Requests are evaluated serially in arrival order — answers are
+/// bit-identical to running each on a snapshot of its own. Members
+/// whose deadline expired while queued are dropped up front with a
+/// typed reply: their traversal would be wasted work.
 fn run_group(shared: &Shared, group: Vec<ReadJob>) {
     let mut live = Vec::with_capacity(group.len());
     for job in group {
@@ -578,12 +578,7 @@ fn run_group(shared: &Shared, group: Vec<ReadJob>) {
     if live.is_empty() {
         return;
     }
-    let snap = if live.len() > 1 {
-        shared.store.snapshot_memoized()
-    } else {
-        shared.store.snapshot()
-    };
-    let engine = snap.and_then(SnapshotBoxSum::open);
+    let engine = shared.store.snapshot().and_then(SnapshotBoxSum::open);
     let engine = match engine {
         Ok(e) => e,
         Err(e) => {
